@@ -1,4 +1,4 @@
-.PHONY: all build test fuzz bench bench-smoke accuracy perf-gate serve-smoke serve-load tune-smoke lint perf clean
+.PHONY: all build test fuzz bench bench-smoke accuracy perf-gate perfbench-check serve-smoke serve-load tune-smoke lint perf clean
 
 # worker domains for the bench harness
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
@@ -63,6 +63,14 @@ perf-gate:
 	  --out _artifacts/BENCH-perfgate.json
 	dune exec bench/perfgate.exe -- ci/PERF-BASELINE.json \
 	  _artifacts/BENCH-perfgate.json
+
+# the repository benchmark (perfbench/, BENCHMARK.json) as a
+# correctness check: every workload for two seconds, untraced. Fails
+# when any operation's output departs from the committed references
+# (perfbench/data/) — collected feedback, plans, steps and cache
+# counts included — or any workload fails to run.
+perfbench-check:
+	python3 perfbench/run.py --workload all --seconds 2 --trace 0
 
 # the advice daemon end to end: start it on a scratch socket, drive one
 # advise + one bench + stats through the CLI client, shut it down

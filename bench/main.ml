@@ -12,8 +12,8 @@
                        (repeatable)
      --backend B       VM engine for the measurement runs: walk (the
                        tree-walking reference), closure (the
-                       closure-compiled engine; default) or superblock
-                       (closure compilation + fused jump chains)
+                       closure-compiled engine) or superblock (closure
+                       compilation + fused jump chains; default)
      --fidelity F      cache-simulation fidelity: exact (default),
                        sampled, sampled:WINDOW,STRIDE or
                        sampled:WINDOW,STRIDE,SKIP — sampled runs simulate

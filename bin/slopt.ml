@@ -105,10 +105,11 @@ let backend_arg =
   Arg.(value & opt backend_conv Slo_vm.Backend.default
        & info [ "backend" ] ~docv:"BACKEND"
            ~doc:"VM execution engine: $(b,walk) (the tree-walking reference \
-                 interpreter), $(b,closure) (the closure-compiled engine, \
-                 default) or $(b,superblock) (closure compilation with \
-                 unconditional-jump chains fused). All produce identical \
-                 output and counters; only wall-clock speed differs.")
+                 interpreter), $(b,closure) (the closure-compiled engine) or \
+                 $(b,superblock) (closure compilation with unconditional-jump \
+                 chains fused; the fastest, default). All produce identical \
+                 output, counters and profiles; only wall-clock speed \
+                 differs.")
 
 let fidelity_conv =
   let parse s =

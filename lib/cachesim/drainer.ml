@@ -16,11 +16,12 @@
    memory bounded and applies back-pressure when simulation is slower
    than execution.
 
-   Not suitable for consumers that must observe sampler or hierarchy
-   state synchronously with the VM (the K>0 bulk-advance check, the
-   PMU collector): those stay on serial sinks. The driver uses this
-   only for the exact-fidelity measure phase, and only when the host
-   has more than one core. *)
+   Not suitable for consumers that must observe simulation state
+   synchronously with the VM (the sampled K>0 bulk-advance check):
+   those stay on serial sinks. Anything that depends only on the
+   ordered event stream is fine — the exact-fidelity measure phase and
+   the PMU of the profile collector both drain through [with_ring],
+   which picks this path when the host has more than one core. *)
 
 type t = {
   drain : int array -> int array -> int -> unit;
@@ -127,3 +128,26 @@ let join t =
     t.failed <- None;
     raise e
   | None -> ()
+
+let with_ring ?(pipeline = Domain.recommended_domain_count () > 1) ~drain f =
+  let ring = Ring.create () in
+  if not pipeline then begin
+    Ring.set_sink ring (fun r -> drain r.Ring.addrs r.Ring.metas r.Ring.len);
+    let r = f ring in
+    Ring.flush ring;
+    r
+  end
+  else begin
+    let d = create ~drain () in
+    Ring.set_sink ring (sink d);
+    match f ring with
+    | r ->
+      Ring.flush ring;
+      join d;
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (* the run's own failure wins over a drain failure it caused *)
+      (try join d with _ -> ());
+      Printexc.raise_with_backtrace e bt
+  end

@@ -10,8 +10,9 @@
     simulation falls behind execution.
 
     Only for consumers that never inspect simulation state while the
-    VM runs (the exact-fidelity measure phase). Sampled bulk-advance
-    checks and the PMU collector need synchronous sinks. *)
+    VM runs: the exact-fidelity measure phase and the profile
+    collector's PMU, which depends only on the ordered event stream.
+    Sampled bulk-advance checks need synchronous sinks. *)
 
 type t
 
@@ -32,3 +33,16 @@ val join : t -> unit
     worker domain. Call after the final {!Ring.flush}; the simulated
     state is only safe to read after [join] returns. Re-raises the
     first exception the [drain] callback threw, if any. *)
+
+val with_ring :
+  ?pipeline:bool ->
+  drain:(int array -> int array -> int -> unit) ->
+  (Ring.t -> 'a) ->
+  'a
+(** [with_ring ~drain f] gives [f] a fresh ring whose events all reach
+    [drain addrs metas n], in order, by the time [with_ring] returns:
+    serially on the calling domain, or with [pipeline] on a worker
+    domain through {!sink} (joined before returning, also when [f]
+    raises). [pipeline] defaults to on when the host has more than one
+    core, where the overlap pays for the handoff. The resulting
+    simulation state is identical either way. *)

@@ -35,6 +35,28 @@ val small : config
 (** A small configuration (4 KB L1, 64 KB L2) for unit tests that want
     misses without megabyte working sets. *)
 
+(** {1 Miss sampling}
+
+    The countdown a PMU ({!Pmu}) samples first-level d-cache misses
+    with. It lives here so that {!drain_quiet} can run it inline. *)
+
+type sampler
+
+val sampler : period:int -> phase:int -> (int -> int -> unit) -> sampler
+(** [sampler ~period ~phase on_sample] counts first-level misses and
+    calls [on_sample iid latency] on every [period]-th, the first one
+    after [period - phase] misses ([phase] is normalized into
+    [0, period), so a negative or oversized phase is fine). Raises
+    [Invalid_argument] on a non-positive period. *)
+
+val note_miss : sampler -> iid:int -> latency:int -> unit
+(** Count one first-level miss, sampling it if it is due. *)
+
+val misses_seen : sampler -> int
+(** First-level misses counted so far. *)
+
+(** {1 The hierarchy} *)
+
 type t
 
 val create : ?kernel:Cache.kernel -> config -> t
@@ -65,7 +87,8 @@ val warm : t -> addr:int -> size:int -> write:bool -> is_float:bool -> unit
     This is what the sampled simulator ({!Sampled}) does to accesses in
     the warm-up segment before each detailed window. *)
 
-val drain_quiet : t -> int array -> int array -> int -> int -> unit
+val drain_quiet :
+  ?sampler:sampler -> t -> int array -> int array -> int -> int -> unit
 (** [drain_quiet t addrs metas lo hi] feeds ring events [lo, hi) (see
     {!Ring} for the packing) through the measurement path. Counters and
     cache state afterwards are byte-equal to calling {!access_quiet}
@@ -74,7 +97,16 @@ val drain_quiet : t -> int array -> int array -> int -> int -> unit
     the probe entirely when an event lands on the same line as its
     predecessor (the line is resident and most-recent; the memo
     replicates the probe's exact counter and LRU effects). This is the
-    sink the exact-fidelity measure phase installs on its {!Ring}. *)
+    sink both the exact-fidelity measure phase and the profile
+    collector install on their {!Ring}.
+
+    With [sampler], every first-level miss — an integer access served
+    by L2, or any access served by memory, under either
+    [fp_bypass_l1] setting — counts the sampler down, and each due
+    miss calls its [on_sample] with the event's iid and [l2_lat] or
+    [mem_lat]: exactly what {!access} + {!Pmu.record} per event would
+    record (another QCheck property). Hits never touch the countdown.
+    Without it, nothing is sampled. *)
 
 val drain_warm : t -> int array -> int array -> int -> int -> unit
 (** Batch counterpart of {!warm} with the sampled warm path's memo

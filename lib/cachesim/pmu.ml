@@ -1,19 +1,28 @@
 type stats = { miss_events : int; total_latency : int }
 
 type t = {
-  period : int;
-  mutable counter : int;
-  mutable events : int;
+  sampler : Hierarchy.sampler;
   table : (int, stats) Hashtbl.t;
 }
 
 let create ?(period = 251) ?(phase = 0) () =
   if period <= 0 then invalid_arg "Pmu.create: period must be positive";
-  (* OCaml's [mod] keeps the dividend's sign, so a negative phase would
-     leave a negative counter and silently stretch the first sampling
-     period; normalize into [0, period) for any phase *)
-  let counter = ((phase mod period) + period) mod period in
-  { period; counter; events = 0; table = Hashtbl.create 64 }
+  let table = Hashtbl.create 64 in
+  let on_sample iid latency =
+    let prev =
+      Option.value
+        (Hashtbl.find_opt table iid)
+        ~default:{ miss_events = 0; total_latency = 0 }
+    in
+    Hashtbl.replace table iid
+      {
+        miss_events = prev.miss_events + 1;
+        total_latency = prev.total_latency + latency;
+      }
+  in
+  { sampler = Hierarchy.sampler ~period ~phase on_sample; table }
+
+let sampler t = t.sampler
 
 let record t ~iid ~level ~latency ~is_float =
   let is_miss =
@@ -23,25 +32,9 @@ let record t ~iid ~level ~latency ~is_float =
     | Hierarchy.L2, true -> false   (* FP access served by its first level *)
     | Hierarchy.Mem, _ -> true
   in
-  if is_miss then begin
-    t.events <- t.events + 1;
-    t.counter <- t.counter + 1;
-    if t.counter >= t.period then begin
-      t.counter <- 0;
-      let prev =
-        Option.value
-          (Hashtbl.find_opt t.table iid)
-          ~default:{ miss_events = 0; total_latency = 0 }
-      in
-      Hashtbl.replace t.table iid
-        {
-          miss_events = prev.miss_events + 1;
-          total_latency = prev.total_latency + latency;
-        }
-    end
-  end
+  if is_miss then Hierarchy.note_miss t.sampler ~iid ~latency
 
-let events_seen t = t.events
+let events_seen t = Hierarchy.misses_seen t.sampler
 
 let by_instr t =
   Hashtbl.fold (fun iid s acc -> (iid, s) :: acc) t.table []

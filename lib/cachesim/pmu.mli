@@ -27,10 +27,16 @@ val create : ?period:int -> ?phase:int -> unit -> t
     [~phase:(period - 3)] sample the same events. Raises
     [Invalid_argument] on a non-positive period. *)
 
+val sampler : t -> Hierarchy.sampler
+(** The miss countdown behind this PMU, for {!Hierarchy.drain_quiet}'s
+    [~sampler]: a batch drain then samples exactly the events
+    {!record} would, in stream order, into this PMU's table. *)
+
 val record :
   t -> iid:int -> level:Hierarchy.level -> latency:int -> is_float:bool -> unit
-(** Feed one memory access. Non-miss accesses only advance internal
-    counters. *)
+(** Feed one memory access: the per-access reference path. An access
+    is a first-level miss when it is an integer access served by L2 or
+    any access served by memory; everything else is ignored. *)
 
 val events_seen : t -> int
 (** Total (unsampled) first-level miss events. *)

@@ -46,45 +46,13 @@ let measure ?(args = []) ?(config = Hierarchy.itanium)
     (* exact: the VM appends packed events to a ring; the sink drains
        whole batches through the hierarchy. Counters are byte-equal to
        the old per-access hook (Hierarchy.drain_quiet's contract) at a
-       fraction of the per-event cost. With a second core available
-       the drain runs on a worker domain, overlapped with execution
-       (identical counters — the drainer preserves batch order); on a
-       single core the serial sink is cheaper than the handoff. *)
-    let pipeline =
-      match pipeline with
-      | Some b -> b
-      | None -> (
-        (* SLO_MEASURE_PIPELINE=1/0 overrides the core-count default —
-           for perf triage and for pinning CI behaviour *)
-        match Sys.getenv_opt "SLO_MEASURE_PIPELINE" with
-        | Some ("0" | "no" | "off") -> false
-        | Some _ -> true
-        | None -> Domain.recommended_domain_count () > 1)
-    in
+       fraction of the per-event cost, and with a second core the drain
+       overlaps execution (Drainer.with_ring) *)
     let hier = Hierarchy.create config in
-    let ring = Ring.create () in
-    let drainer =
-      if pipeline then begin
-        let d =
-          Drainer.create
-            ~drain:(fun addrs metas n ->
-              Hierarchy.drain_quiet hier addrs metas 0 n)
-            ()
-        in
-        Ring.set_sink ring (Drainer.sink d);
-        Some d
-      end
-      else begin
-        Ring.set_sink ring (fun r ->
-            Hierarchy.drain_quiet hier r.Ring.addrs r.Ring.metas 0 r.Ring.len);
-        None
-      end
-    in
-    let vm = Backend.create ~ring backend prog in
     let result =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Drainer.join drainer)
-        (fun () -> Backend.run ~args vm)
+      Drainer.with_ring ?pipeline
+        ~drain:(fun addrs metas n -> Hierarchy.drain_quiet hier addrs metas 0 n)
+        (fun ring -> Backend.run ~args (Backend.create ~ring backend prog))
     in
     {
       m_result = result;

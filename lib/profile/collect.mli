@@ -7,10 +7,16 @@
     data from the PMU, resulting in a feedback file that contains both edge
     counts and sampling results for data cache events."
 
-    The VM's edge hook is the instrumentation; the cache hierarchy plus
-    {!Slo_cachesim.Pmu} is the PMU. When [instrument] is false, only PMU
-    samples are collected (that is the DMISS.NO configuration) and a
-    different sampling phase models the skid difference. *)
+    The VM's {!Slo_vm.Edges} counters are the instrumentation; the
+    cache hierarchy plus {!Slo_cachesim.Pmu} is the PMU. When
+    [instrument] is false, only PMU samples are collected (that is the
+    DMISS.NO configuration) and a different sampling phase models the
+    skid difference.
+
+    The run takes the exact measure path of {!Slo_core.Driver.measure}:
+    the VM pushes memory events into a ring, and
+    {!Slo_cachesim.Hierarchy.drain_quiet} drains each batch with the
+    PMU's countdown on its miss arms. *)
 
 type run_stats = {
   result : Slo_vm.Interp.result;
@@ -24,9 +30,15 @@ val collect :
   ?config:Slo_cachesim.Hierarchy.config ->
   ?sample_period:int ->
   ?backend:Slo_vm.Backend.t ->
+  ?pipeline:bool ->
   Ir.program ->
   Feedback.t * run_stats
 (** Defaults: [instrument = true], Itanium-like hierarchy, period 251,
-    the closure-compiled VM backend. Both backends drive identical
-    edge/PMU event streams, so the collected feedback is backend
-    independent (pinned by tests). *)
+    the {!Slo_vm.Backend.default} engine (superblock). [pipeline]
+    (default: on when the host has more than one core) drains on a
+    worker domain through {!Slo_cachesim.Drainer.with_ring}, as
+    [Driver.measure] does. Every backend drives identical edge and
+    memory event streams and the drain keeps their order, so the
+    feedback, PMU event count and steps are the same for every backend
+    and either sink (pinned by tests, against a per-access
+    reference). *)

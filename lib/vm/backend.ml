@@ -4,11 +4,10 @@
    [Closure] is the closure-compiled engine ({!Compile}); [Superblock]
    is the same engine with straight-line jump chains fused into
    superblocks. All three are observationally identical — same output
-   bytes, step counts, hook event streams and error messages — which
-   the differential tests enforce, so [Closure] is the default
-   everywhere speed matters, [Superblock] is the measure-phase racer,
-   and [Walk] remains the semantic baseline the fast paths are checked
-   against. *)
+   bytes, step counts, event streams, edge counts and error messages — which
+   the differential tests enforce, so [Superblock], the fastest, is the
+   default everywhere, and [Walk] remains the semantic baseline the
+   fast paths are checked against. *)
 
 exception Runtime_error = Rt.Runtime_error
 
@@ -16,7 +15,7 @@ type result = Rt.result = { exit_code : int; output : string; steps : int }
 
 type t = Walk | Closure | Superblock
 
-let default = Closure
+let default = Superblock
 let all = [ Walk; Closure; Superblock ]
 
 let to_string = function
@@ -35,7 +34,7 @@ let of_string = function
    the run ends *)
 type vm = Vwalk of Interp.t * (unit -> unit) | Vclosure of Compile.t
 
-let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps backend prog =
+let create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps backend prog =
   match backend with
   | Walk ->
     (* the walker has no bulk fast path; ignoring the hook is sound
@@ -55,13 +54,13 @@ let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps backend prog =
           fun () -> Ring.flush rg )
       | (Some _ | None), None -> (mem_hook, fun () -> ())
     in
-    Vwalk (Interp.create ?mem_hook ?edge_hook ?max_steps prog, flush)
+    Vwalk (Interp.create ?mem_hook ?edges ?max_steps prog, flush)
   | Closure ->
     Vclosure
-      (Compile.create ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps prog)
+      (Compile.create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps prog)
   | Superblock ->
     Vclosure
-      (Compile.create ?mem_hook ?edge_hook ?bulk_hook ?ring ~superblock:true
+      (Compile.create ?mem_hook ?edges ?bulk_hook ?ring ~superblock:true
          ?max_steps prog)
 
 let run ?args = function
@@ -69,6 +68,6 @@ let run ?args = function
     Fun.protect ~finally:flush (fun () -> Interp.run ?args vm)
   | Vclosure vm -> Compile.run ?args vm
 
-let run_program ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps ?args backend
+let run_program ?mem_hook ?edges ?bulk_hook ?ring ?max_steps ?args backend
     prog =
-  run ?args (create ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps backend prog)
+  run ?args (create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps backend prog)

@@ -3,12 +3,14 @@
     or with superblock fusion.
 
     All backends are observationally identical — byte-identical output,
-    identical step counts, identical hook event streams (and therefore
-    identical cache-simulation counters) — a property pinned by the
-    differential tests. [Closure] is the default; [Walk] is the
-    semantic baseline; [Superblock] fuses unconditional-jump chains,
-    address-producing instructions into the loads/stores consuming
-    them, and block tails into terminators — the fastest engine. *)
+    identical step counts, identical event streams and edge counts (and
+    therefore identical cache-simulation counters and profiles) — a
+    property pinned by the differential tests. [Superblock] is the
+    default: it fuses unconditional-jump chains, address-producing
+    instructions into the loads/stores consuming them, and block tails
+    into terminators — the fastest engine, with or without edge
+    counting. [Closure] is the same engine without the fusions; [Walk]
+    is the semantic baseline. *)
 
 exception Runtime_error of string
 
@@ -21,7 +23,7 @@ type result = Rt.result = {
 type t = Walk | Closure | Superblock
 
 val default : t
-(** [Closure]. *)
+(** [Superblock]. *)
 
 val all : t list
 
@@ -34,7 +36,7 @@ type vm
 
 val create :
   ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
-  ?edge_hook:(string -> int -> int -> unit) ->
+  ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?max_steps:int ->
@@ -47,6 +49,10 @@ val create :
     hook. Either way {!run} flushes the tail, so the ring sink sees the
     complete, identical event stream on every backend.
 
+    [edges] turns on the PBO instrumentation: every taken CFG edge and
+    function entry of the run is counted into the given {!Edges}
+    counters, with identical counts on every backend.
+
     [bulk_hook] (see {!Compile.create}) lets a sampled-measurement
     consumer retire a whole block's accesses in O(1); the [Walk]
     backend ignores it (always per-access), which is sound because a
@@ -57,7 +63,7 @@ val run : ?args:int list -> vm -> result
 
 val run_program :
   ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
-  ?edge_hook:(string -> int -> int -> unit) ->
+  ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?max_steps:int ->

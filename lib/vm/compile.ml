@@ -12,10 +12,10 @@
      constant offsets (no [Hashtbl] lookups on the hot path);
    - [Layout.sizeof] results and bit-field (unit size, shift, mask)
      triples computed once per instruction;
-   - the [mem_hook]/[edge_hook] option branches specialized away: a
+   - the [mem_hook]/[edges] option branches specialized away: a
      hook-free [run] compiles to closures with no event plumbing at
-     all, the profile/measure path to closures that call the hook
-     directly;
+     all, the profile/measure path to closures that call the hook or
+     bump the edge counter directly;
    - direct calls bind arguments through per-call-site closures that
      already know the callee's parameter offsets, types and sizes.
 
@@ -107,7 +107,6 @@ type t = {
   mutable steps : int;
   max_steps : int;
   sink : sink;
-  edge_hook : (string -> int -> int -> unit) option;
   bulk : int -> bool;
     (* [bulk n]: consume [n] upcoming accesses cheaply (true) or fall
        back to per-access hook calls (false); constantly false unless a
@@ -232,7 +231,7 @@ let with_event ~sink ~(ga : frame -> int) ~size ~write ~is_float ~iid :
    its end. A pure-Tjmp cycle is not fused past one lap (the visited
    check below), so an infinite empty loop still re-enters the
    execution loop and hits the step limit. *)
-let fuse_superblocks (func : Ir.func) (blocks : bcode array) =
+let fuse_superblocks ?edges (func : Ir.func) (blocks : bcode array) =
   let n = Array.length blocks in
   if n > 1 then begin
     let preds = Array.make n 0 in
@@ -276,6 +275,23 @@ let fuse_superblocks (func : Ir.func) (blocks : bcode array) =
              always the original per-block compilations *)
           let bcs = List.map (fun bid -> blocks.(bid)) seq in
           let last = List.nth bcs (List.length bcs - 1) in
+          (* under instrumentation, each constituent but the last is
+             followed by a thunk counting the jump it no longer takes,
+             at the point where it would have taken it *)
+          let with_jumps (part : bcode -> (frame -> unit) array) =
+            match edges with
+            | None -> Array.concat (List.map part bcs)
+            | Some cnt ->
+              let rec go = function
+                | src :: (dst :: _ as rest), bc :: bcs' ->
+                  let i = Edges.slot ~nblocks:n ~src ~dst in
+                  part bc
+                  :: [| (fun _ -> cnt.(i) <- cnt.(i) + 1) |]
+                  :: go (rest, bcs')
+                | _, bcs' -> List.map part bcs'
+              in
+              Array.concat (go (seq, bcs))
+          in
           let events =
             List.fold_left
               (fun a bc ->
@@ -285,13 +301,12 @@ let fuse_superblocks (func : Ir.func) (blocks : bcode array) =
           blocks.(h) <-
             {
               bc_steps = List.fold_left (fun a bc -> a + bc.bc_steps) 0 bcs;
-              bc_body = Array.concat (List.map (fun bc -> bc.bc_body) bcs);
+              bc_body = with_jumps (fun bc -> bc.bc_body);
               bc_term = last.bc_term;
               bc_ret = last.bc_ret;
               bc_events = events;
               bc_fast =
-                (if events > 0 then
-                   Array.concat (List.map (fun bc -> bc.bc_fast) bcs)
+                (if events > 0 then with_jumps (fun bc -> bc.bc_fast)
                  else [||]);
             }
       end
@@ -301,6 +316,7 @@ let fuse_superblocks (func : Ir.func) (blocks : bcode array) =
 (* per-function facts shared between the two compile passes *)
 type pre = {
   p_func : Ir.func;
+  p_edges : int array option;  (* its Edges row, when counting *)
   p_fc : fcode;
   p_fl : bool array;
   mutable p_locals : (string, int * Irty.t) Hashtbl.t;
@@ -324,10 +340,10 @@ let compile_signature t layout (p : pre) =
   p.p_locals <- locals;
   fc.fc_frame_size <- frame_size;
   fc.fc_entry_hook <-
-    (match t.edge_hook with
-    | Some h ->
-      let name = fc.fc_name and entry = fc.fc_entry in
-      fun () -> h name (-1) entry
+    (match p.p_edges with
+    | Some cnt ->
+      let i = Edges.slot ~nblocks:func.next_block ~src:(-1) ~dst:fc.fc_entry in
+      fun () -> cnt.(i) <- cnt.(i) + 1
     | None -> fun () -> ());
   (* the generic binder: one pre-resolved slot writer per parameter *)
   let fname = fc.fc_name in
@@ -813,20 +829,29 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       in
       ((fun _ -> -1), retc)
     | Ir.Tjmp dst -> (
-      match t.edge_hook with
-      | Some h ->
-        let name = func.fname and src = b.bid in
-        ((fun _ -> h name src dst; dst), never_ret)
+      match p.p_edges with
+      | Some cnt ->
+        let i = Edges.slot ~nblocks:func.next_block ~src:b.bid ~dst in
+        ( (fun _ ->
+            cnt.(i) <- cnt.(i) + 1;
+            dst),
+          never_ret )
       | None -> ((fun _ -> dst), never_ret))
     | Ir.Tbr (c, x, y) -> (
       let g = geti c in
-      match t.edge_hook with
-      | Some h ->
-        let name = func.fname and src = b.bid in
+      match p.p_edges with
+      | Some cnt ->
+        let ix = Edges.slot ~nblocks:func.next_block ~src:b.bid ~dst:x
+        and iy = Edges.slot ~nblocks:func.next_block ~src:b.bid ~dst:y in
         ( (fun f ->
-            let dst = if g f <> 0 then x else y in
-            h name src dst;
-            dst),
+            if g f <> 0 then begin
+              cnt.(ix) <- cnt.(ix) + 1;
+              x
+            end
+            else begin
+              cnt.(iy) <- cnt.(iy) + 1;
+              y
+            end),
           never_ret )
       | None -> ((fun f -> if g f <> 0 then x else y), never_ret))
   in
@@ -984,7 +1009,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         { bc_steps = List.length b.instrs + 1; bc_body = body; bc_term = term;
           bc_ret = ret; bc_events = events; bc_fast = fast })
     func.fblocks;
-  if t.sb && Option.is_none t.edge_hook then fuse_superblocks func blocks;
+  if t.sb then fuse_superblocks ?edges:p.p_edges func blocks;
   if t.sb then
     Array.iteri (fun k bc -> blocks.(k) <- fold_tail bc) blocks;
   fc.fc_blocks <- blocks
@@ -993,7 +1018,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
 (* Setup and entry points                                              *)
 (* ------------------------------------------------------------------ *)
 
-let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?(superblock = false)
+let create ?mem_hook ?edges ?bulk_hook ?ring ?(superblock = false)
     ?(max_steps = Rt.default_max_steps) (prog : Ir.program) : t =
   let sink =
     match (mem_hook, ring) with
@@ -1030,7 +1055,7 @@ let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?(superblock = false)
   let t =
     {
       mem; dispatch; fcode_tbl; benv; out = benv.Builtins.out;
-      sp = Memory.stack_top; steps = 0; max_steps; sink; edge_hook;
+      sp = Memory.stack_top; steps = 0; max_steps; sink;
       bulk = (match bulk_hook with Some b -> b | None -> fun _ -> false);
       bulk_on =
         (Option.is_some bulk_hook
@@ -1042,7 +1067,8 @@ let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?(superblock = false)
     List.mapi
       (fun i f ->
         {
-          p_func = f; p_fc = fcodes.(i); p_fl = Prep.float_banks prog f;
+          p_func = f; p_edges = Option.map (fun e -> Edges.row e i) edges;
+          p_fc = fcodes.(i); p_fl = Prep.float_banks prog f;
           p_locals = Hashtbl.create 16;
         })
       prog.funcs

@@ -21,7 +21,7 @@ type t
 
 val create :
   ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
-  ?edge_hook:(string -> int -> int -> unit) ->
+  ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?superblock:bool ->
@@ -59,8 +59,9 @@ val create :
     [superblock] additionally fuses each straight-line chain of blocks
     linked by unconditional jumps into one superblock: one array sweep,
     one step-limit check and one [bulk_hook] consultation per chain.
-    Fusion is skipped when an [edge_hook] is present (interior jump
-    edges would no longer be reported). Step totals and step-limit
+    Under [edges] the chain counts the jumps it fuses away inline, each
+    at the point where the jump would have been taken, so the counts
+    equal the unfused engines'. Step totals and step-limit
     failures are unchanged on all programs; the limit check becomes
     chain-wise (see the caveat on {!run}). *)
 

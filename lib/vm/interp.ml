@@ -15,6 +15,7 @@ type code = {
   clocals : (string, int * Irty.t) Hashtbl.t;  (* frame offset, type *)
   cframe_size : int;
   cfloat_reg : bool array;  (* register bank assignment *)
+  cedges : int array;  (* this function's edge counters (see Edges) *)
 }
 
 type t = {
@@ -31,7 +32,7 @@ type t = {
   mutable sp : int;
   mutable steps : int;
   mem_hook : (int -> int -> bool -> bool -> int -> unit) option;
-  edge_hook : (string -> int -> int -> unit) option;
+  count_edges : bool;
   max_steps : int;
 }
 
@@ -41,7 +42,7 @@ let func_addr_base = Rt.func_addr_base
 (* Pre-compilation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let compile_func (prog : Ir.program) layout (f : Ir.func) : code =
+let compile_func (prog : Ir.program) layout cedges (f : Ir.func) : code =
   let nb = f.next_block in
   let cblocks = Array.make nb [||] in
   let cterms = Array.make nb (Ir.Tret None) in
@@ -69,22 +70,26 @@ let compile_func (prog : Ir.program) layout (f : Ir.func) : code =
   {
     cfunc = f; cblocks; cterms;
     centry = Prep.entry_block f;
-    clocals; cframe_size; cfloat_reg = Prep.float_banks prog f;
+    clocals; cframe_size; cfloat_reg = Prep.float_banks prog f; cedges;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let create ?mem_hook ?edge_hook ?(max_steps = Rt.default_max_steps)
+let create ?mem_hook ?edges ?(max_steps = Rt.default_max_steps)
     (prog : Ir.program) : t =
   let layout = Layout.create prog.structs in
   let mem = Memory.create () in
   let globals_addr = Prep.alloc_globals layout mem prog in
   let strings = Prep.intern_strings mem prog in
   let codes = Hashtbl.create 16 in
-  List.iter
-    (fun f -> Hashtbl.replace codes f.Ir.fname (compile_func prog layout f))
+  List.iteri
+    (fun i f ->
+      let cedges =
+        match edges with Some e -> Edges.row e i | None -> [||]
+      in
+      Hashtbl.replace codes f.Ir.fname (compile_func prog layout cedges f))
     prog.funcs;
   let func_by_index = Array.of_list (List.map (fun f -> f.Ir.fname) prog.funcs) in
   let func_addr = Hashtbl.create 16 in
@@ -95,12 +100,16 @@ let create ?mem_hook ?edge_hook ?(max_steps = Rt.default_max_steps)
   {
     prog; layout; mem; codes; func_by_index; func_addr; globals_addr;
     strings; benv; out = benv.Builtins.out; sp = Memory.stack_top; steps = 0;
-    mem_hook; edge_hook; max_steps;
+    mem_hook; count_edges = Option.is_some edges; max_steps;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
+
+let count_edge code src dst =
+  let i = Edges.slot ~nblocks:code.cfunc.next_block ~src ~dst in
+  code.cedges.(i) <- code.cedges.(i) + 1
 
 let rec call t fname (args : argval list) : retval =
   match Hashtbl.find_opt t.codes fname with
@@ -143,9 +152,7 @@ let rec call t fname (args : argval list) : retval =
       | _ :: _, [] -> error "too few arguments to '%s'" fname
     in
     bind f.fparams args;
-    (match t.edge_hook with
-    | Some h -> h fname (-1) code.centry
-    | None -> ());
+    if t.count_edges then count_edge code (-1) code.centry;
     let result = exec_blocks t code frame_base iregs fregs code.centry in
     t.sp <- saved_sp;
     result
@@ -208,10 +215,7 @@ and exec_blocks t code frame_base iregs fregs entry : retval =
       let dst = if get_i c <> 0 then a else b in
       edge bid dst;
       run_block dst)
-  and edge src dst =
-    match t.edge_hook with
-    | Some h -> h code.cfunc.fname src dst
-    | None -> ()
+  and edge src dst = if t.count_edges then count_edge code src dst
   and exec_instr (i : Ir.instr) =
     match i.idesc with
     | Ir.Imov (r, o) -> if fl.(r) then fregs.(r) <- get_f o else iregs.(r) <- get_i o

@@ -422,6 +422,65 @@ let prop_drain_matches_per_access =
       (* the generic-kernel drain pins specialized ≡ generic too *)
       hier_state_eq per dra && hier_state_eq per dgn)
 
+(* The sampling drain: the same batches drained with a PMU's countdown
+   must equal per-access [access] + [Pmu.record] — counters, cache
+   state, the PMU table and [events_seen] — for any period and phase,
+   with the FP bypass on and off. Addresses span well past the small
+   L2s so memory misses are common, and iids repeat so samples
+   accumulate per instruction. *)
+let gen_sampled_events =
+  QCheck.Gen.(
+    list_size (int_range 1 400)
+      (oneof [ int_range 0 1023; int_range 0 65535 ] >>= fun addr ->
+       int_range 1 8 >>= fun size ->
+       bool >>= fun write ->
+       bool >>= fun is_float ->
+       int_range 0 5 >>= fun iid -> return (addr, size, write, is_float, iid)))
+
+let print_sampled_events evs =
+  String.concat ";"
+    (List.map
+       (fun (a, s, w, f, i) -> Printf.sprintf "(%d,%d,%b,%b,%d)" a s w f i)
+       evs)
+
+let prop_sampling_drain_matches_pmu =
+  QCheck.Test.make ~count:200
+    ~name:"sampling drain byte-equal to per-access + Pmu.record"
+    QCheck.(
+      quad
+        (make gen_hier_config ~print:print_hier_config)
+        (make gen_sampled_events ~print:print_sampled_events)
+        (pair (int_range 1 7) (int_range (-10) 20))
+        (int_range 1 17))
+    (fun (cfg, events, (period, phase), chunk0) ->
+      let per = Hierarchy.create cfg and dra = Hierarchy.create cfg in
+      let pmu_per = Pmu.create ~period ~phase ()
+      and pmu_dra = Pmu.create ~period ~phase () in
+      List.iter
+        (fun (addr, size, write, is_float, iid) ->
+          let latency, level = Hierarchy.access per ~addr ~size ~write ~is_float in
+          Pmu.record pmu_per ~iid ~level ~latency ~is_float)
+        events;
+      let evs = Array.of_list events in
+      let n = Array.length evs in
+      let addrs = Array.map (fun (a, _, _, _, _) -> a) evs in
+      let metas =
+        Array.map (fun (_, size, write, is_float, iid) ->
+            Ring.meta ~size ~write ~is_float ~iid)
+          evs
+      in
+      let lo = ref 0 and k = ref 0 in
+      while !lo < n do
+        let c = min (n - !lo) (1 + ((chunk0 + !k) mod 17)) in
+        Hierarchy.drain_quiet ~sampler:(Pmu.sampler pmu_dra) dra addrs metas !lo
+          (!lo + c);
+        lo := !lo + c;
+        incr k
+      done;
+      hier_state_eq per dra
+      && Pmu.by_instr pmu_per = Pmu.by_instr pmu_dra
+      && Pmu.events_seen pmu_per = Pmu.events_seen pmu_dra)
+
 module Drainer = Slo_cachesim.Drainer
 
 (* the worker-domain drainer: same events through a small ring with
@@ -626,6 +685,7 @@ let () =
           Alcotest.test_case "correct_skip caps and carries" `Quick
             correct_skip_caps_and_carries;
           QCheck_alcotest.to_alcotest prop_drain_matches_per_access;
+          QCheck_alcotest.to_alcotest prop_sampling_drain_matches_pmu;
           Alcotest.test_case "drainer matches serial" `Quick
             drainer_matches_serial;
           Alcotest.test_case "drainer join re-raises" `Quick

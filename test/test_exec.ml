@@ -201,7 +201,7 @@ let engine_json_artifact () =
   Alcotest.(check bool) "fidelity recorded" true
     (Json.member "fidelity" j = Some (Json.String "exact"));
   Alcotest.(check bool) "backend recorded" true
-    (Json.member "backend" j = Some (Json.String "closure"));
+    (Json.member "backend" j = Some (Json.String "superblock"));
   Alcotest.(check bool) "jobs recorded" true
     (Json.member "jobs" j = Some (Json.Int 2));
   (match Json.member "results" j with

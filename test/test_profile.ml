@@ -96,15 +96,14 @@ let pbo_matches_truth () =
   let fb, _ = Collect.collect prog in
   let bw = Weights.block_weights prog Weights.PBO ~feedback:(Some fb) in
   let counts = Hashtbl.create 16 in
-  let vm =
-    Slo_vm.Interp.create
-      ~edge_hook:(fun f _src dst ->
-        let k = (f, dst) in
-        Hashtbl.replace counts k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-      prog
-  in
-  ignore (Slo_vm.Interp.run vm);
+  let edges = Slo_vm.Edges.create prog in
+  ignore (Slo_vm.Interp.run (Slo_vm.Interp.create ~edges prog));
+  let names = Array.of_list (List.map (fun (f : Ir.func) -> f.fname) prog.funcs) in
+  (* a block runs once per edge (or entry) into it *)
+  Slo_vm.Edges.iter edges (fun i ~src:_ ~dst n ->
+      let k = (names.(i), dst) in
+      Hashtbl.replace counts k
+        (n + Option.value ~default:0 (Hashtbl.find_opt counts k)));
   let work = Hashtbl.find bw "work" in
   Hashtbl.iter
     (fun (f, bid) n ->
@@ -113,6 +112,77 @@ let pbo_matches_truth () =
           (Printf.sprintf "block %d" bid)
           (float_of_int n) work.(bid))
     counts
+
+(* The profile phase on every engine and sink, over the roster at the
+   tiny arguments of test_suite: Collect.collect's feedback, PMU event
+   count and steps are byte-equal across walk, closure and superblock,
+   serial and pipelined, and equal to a per-access reference — the
+   closure engine (no fusion) with a mem hook feeding Hierarchy.access
+   + Pmu.record, and edge counters. *)
+module Suite = Slo_suite.Suite
+module Hierarchy = Slo_cachesim.Hierarchy
+module Pmu = Slo_cachesim.Pmu
+module Edges = Slo_vm.Edges
+module Backend = Slo_vm.Backend
+
+let tiny_args (e : Suite.entry) = List.map (fun a -> max 1 (a / 8)) e.train_args
+
+let reference_profile ~args (prog : Ir.program) =
+  let hier = Hierarchy.create Hierarchy.itanium in
+  (* Collect's defaults: period 251, phase 17 under instrumentation *)
+  let pmu = Pmu.create ~period:251 ~phase:17 () in
+  let edges = Edges.create prog in
+  let mem_hook addr size write is_float iid =
+    let latency, level = Hierarchy.access hier ~addr ~size ~write ~is_float in
+    Pmu.record pmu ~iid ~level ~latency ~is_float
+  in
+  let r = Backend.run ~args (Backend.create ~mem_hook ~edges Backend.Closure prog) in
+  let fb = Feedback.create () in
+  List.iteri
+    (fun i (f : Ir.func) ->
+      let bsigs = Feedback.block_sigs f and isigs = Feedback.instr_sigs f in
+      for src = -1 to f.next_block - 1 do
+        for dst = 0 to f.next_block - 1 do
+          let n = Edges.count edges i ~src ~dst in
+          if n > 0 then
+            if src = -1 then Feedback.add_entry fb f.fname n
+            else
+              Feedback.add_edge fb f.fname (Hashtbl.find bsigs src)
+                (Hashtbl.find bsigs dst) n
+        done
+      done;
+      List.iter
+        (fun (b : Ir.block) ->
+          List.iter
+            (fun (ins : Ir.instr) ->
+              let st = Pmu.stats_of pmu ins.iid in
+              if st.miss_events > 0 then
+                Feedback.add_dcache fb f.fname (Hashtbl.find isigs ins.iid)
+                  { misses = st.miss_events; latency = st.total_latency })
+            b.instrs)
+        f.fblocks)
+    prog.funcs;
+  (Feedback.to_string fb, Pmu.events_seen pmu, r.steps)
+
+let feedback_agrees (e : Suite.entry) () =
+  let prog = Slo_core.Driver.compile e.source in
+  let args = tiny_args e in
+  let fb_ref, events_ref, steps_ref = reference_profile ~args prog in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun pipeline ->
+          let fb, st = Collect.collect ~args ~backend ~pipeline prog in
+          let what =
+            Printf.sprintf "%s %s" (Backend.to_string backend)
+              (if pipeline then "pipelined" else "serial")
+          in
+          Alcotest.(check string) (what ^ " feedback") fb_ref
+            (Feedback.to_string fb);
+          Alcotest.(check int) (what ^ " pmu events") events_ref st.pmu_events;
+          Alcotest.(check int) (what ^ " steps") steps_ref st.result.steps)
+        [ false; true ])
+    Backend.all
 
 (* ------------------------- SPBO ------------------------- *)
 
@@ -301,6 +371,11 @@ let () =
           Alcotest.test_case "perturbation" `Quick match_robust_to_perturbation;
           Alcotest.test_case "PBO = truth" `Quick pbo_matches_truth;
         ] );
+      ( "feedback agrees",
+        List.map
+          (fun (e : Suite.entry) ->
+            Alcotest.test_case e.name `Quick (feedback_agrees e))
+          (Suite.roster @ Suite.case_studies) );
       ( "spbo",
         [
           Alcotest.test_case "loop freq" `Quick spbo_loop_freq;

@@ -241,19 +241,17 @@ let mem_hook_sees_accesses b () =
   Alcotest.(check int) "one float store" 1 !float_writes;
   Alcotest.(check bool) "int field traffic seen" true (!int_ops >= 2)
 
-let edge_hook_counts b () =
+let edge_counters b () =
   let prog =
     Lower.lower_source
       "int main() { int i; int s = 0;\n\
        for (i = 0; i < 10; i++) { s = s + i; } return s; }"
   in
+  let counters = Slo_vm.Edges.create prog in
+  let r = Backend.run (Backend.create ~edges:counters b prog) in
   let entries = ref 0 and edges = ref 0 in
-  let vm =
-    Backend.create
-      ~edge_hook:(fun _f src _dst -> if src = -1 then incr entries else incr edges)
-      b prog
-  in
-  let r = Backend.run vm in
+  Slo_vm.Edges.iter counters (fun _ ~src ~dst:_ n ->
+      if src = -1 then entries := !entries + n else edges := !edges + n);
   Alcotest.(check int) "result" 45 r.Backend.exit_code;
   Alcotest.(check int) "one entry" 1 !entries;
   (* loop executes 10 times: header->body 10, body->step 10, step->header 10,
@@ -282,7 +280,7 @@ let hooks_cases b =
   [
     Alcotest.test_case "step counting" `Quick (step_counting b);
     Alcotest.test_case "mem hook" `Quick (mem_hook_sees_accesses b);
-    Alcotest.test_case "edge hook" `Quick (edge_hook_counts b);
+    Alcotest.test_case "edge counters" `Quick (edge_counters b);
   ]
 
 let () =
